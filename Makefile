@@ -13,13 +13,17 @@ test:
 
 # Tier-1 gate: full build, the complete test suite, and the epicprof
 # golden flow (profile the SHA-256 example and validate the emitted
-# Chrome trace with the profiler's own JSON parser via the test suite).
+# Chrome trace with the profiler's own JSON parser via the test suite),
+# then the fuzz smoke campaign, whose MIR oracle and schedule-contract
+# checker guard the compiler and the list scheduler, and the service
+# smokes.
 check:
 	dune build
 	dune runtest
 	dune exec bin/epicprof.exe -- examples/sha256.c --format=chrome-trace \
 	  -o _build/check_trace.json
 	dune exec bench/main.exe -- inject-faults --quick
+	$(MAKE) fuzz
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) explore-smoke

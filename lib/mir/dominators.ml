@@ -1,12 +1,24 @@
-(* Dominator analysis and natural-loop discovery on MIR CFGs (iterative
-   set-intersection algorithm; CFGs here are small).  Used by
-   loop-invariant code motion. *)
+(* Dominator analysis and natural-loop discovery on MIR CFGs, used by
+   loop-invariant code motion once per hoisting round.
+
+   Immediate dominators come from the Cooper-Harvey-Kennedy iteration
+   over reverse postorder ("A Simple, Fast Dominance Algorithm", 2001).
+   Numbering the dominator tree in pre- and postorder then answers
+   [dominates] in O(1): [a] dominates [b] iff [b]'s tree interval nests
+   inside [a]'s.  Only blocks reachable from the entry are in the tree;
+   [dominates a b] is false whenever [a] or [b] is unreachable, so no
+   back edge, and hence no loop header, lies in unreachable code.  A
+   loop body can still contain an unreachable block that branches into
+   it: the body is every block that reaches the latch without passing
+   the header. *)
 
 module LSet = Set.Make (Int)
 
 type t = {
-  dom : (Ir.label, LSet.t) Hashtbl.t;          (* label -> its dominators *)
   preds : (Ir.label, Ir.label list) Hashtbl.t;
+  number : (Ir.label, int) Hashtbl.t;  (* reachable label -> tree node *)
+  pre : int array;                     (* tree node -> preorder number *)
+  post : int array;                    (* tree node -> postorder number *)
 }
 
 let predecessors (f : Ir.func) =
@@ -21,46 +33,73 @@ let predecessors (f : Ir.func) =
   preds
 
 let analyse (f : Ir.func) =
-  let entry = (Ir.entry_block f).Ir.b_id in
-  let labels = List.map (fun (b : Ir.block) -> b.Ir.b_id) f.Ir.f_blocks in
-  let all = LSet.of_list labels in
   let preds = predecessors f in
-  let dom = Hashtbl.create 16 in
+  let succs = Hashtbl.create 16 in
   List.iter
-    (fun l ->
-      Hashtbl.replace dom l (if l = entry then LSet.singleton entry else all))
-    labels;
+    (fun (b : Ir.block) -> Hashtbl.replace succs b.Ir.b_id (Ir.successors b.Ir.b_term))
+    f.Ir.f_blocks;
+  (* Depth-first postorder of the blocks reachable from the entry: node k
+     is the k-th block to finish, so the entry is the last node. *)
+  let number = Hashtbl.create 16 in
+  let order = ref [] and n = ref 0 in
+  let rec dfs l =
+    Hashtbl.replace number l (-1);
+    List.iter (fun s -> if not (Hashtbl.mem number s) then dfs s) (Hashtbl.find succs l);
+    Hashtbl.replace number l !n;
+    order := l :: !order;
+    incr n
+  in
+  dfs (Ir.entry_block f).Ir.b_id;
+  let n = !n in
+  let rpo = Array.of_list !order in      (* reverse postorder: entry first *)
+  let entry = n - 1 in
+  let idom = Array.make n (-1) in
+  idom.(entry) <- entry;
+  let rec intersect a b =
+    if a = b then a
+    else if a < b then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun l ->
-        if l <> entry then begin
-          let ps = Hashtbl.find preds l in
-          let inter =
-            List.fold_left
-              (fun acc p ->
-                match acc with
-                | None -> Some (Hashtbl.find dom p)
-                | Some s -> Some (LSet.inter s (Hashtbl.find dom p)))
-              None ps
-          in
-          let next =
-            LSet.add l (match inter with Some s -> s | None -> LSet.empty)
-          in
-          if not (LSet.equal next (Hashtbl.find dom l)) then begin
-            Hashtbl.replace dom l next;
-            changed := true
-          end
-        end)
-      labels
+    for k = 1 to n - 1 do
+      let b = Hashtbl.find number rpo.(k) in
+      let next =
+        List.fold_left
+          (fun acc p ->
+            match Hashtbl.find_opt number p with
+            | Some p when idom.(p) >= 0 -> if acc < 0 then p else intersect p acc
+            | _ -> acc)
+          (-1) (Hashtbl.find preds rpo.(k))
+      in
+      if next <> idom.(b) then begin
+        idom.(b) <- next;
+        changed := true
+      end
+    done
   done;
-  { dom; preds }
+  (* Number the dominator tree; children before parents in postorder. *)
+  let children = Array.make n [] in
+  for b = 0 to n - 1 do
+    if b <> entry then children.(idom.(b)) <- b :: children.(idom.(b))
+  done;
+  let pre = Array.make n 0 and post = Array.make n 0 in
+  let clock = ref 0 in
+  let rec walk b =
+    pre.(b) <- !clock;
+    incr clock;
+    List.iter walk children.(b);
+    post.(b) <- !clock;
+    incr clock
+  in
+  walk entry;
+  { preds; number; pre; post }
 
 let dominates t a b =
-  match Hashtbl.find_opt t.dom b with
-  | Some s -> LSet.mem a s
-  | None -> false
+  match (Hashtbl.find_opt t.number a, Hashtbl.find_opt t.number b) with
+  | Some a, Some b -> t.pre.(a) <= t.pre.(b) && t.post.(b) <= t.post.(a)
+  | _ -> false
 
 (* Back edges: u -> h where h dominates u. *)
 let back_edges t (f : Ir.func) =

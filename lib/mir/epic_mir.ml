@@ -3,8 +3,9 @@
     - {!Ir}: the IR itself — three-address instructions over virtual
       registers, basic blocks, functions, programs, def/use metadata,
       printing and validation.
-    - {!Liveness}: backward dataflow liveness over both register classes.
-    - {!Dominators}: dominator sets and natural-loop discovery.
+    - {!Liveness}: backward dataflow liveness over both register
+      classes, as dense bitsets.
+    - {!Dominators}: the dominator tree and natural-loop discovery.
     - {!Memmap}: data-memory layout (globals, stack) and big-endian byte
       access shared by the interpreter and both backends.
     - {!Interp}: the reference interpreter defining MIR semantics.

@@ -24,7 +24,11 @@
    (the pipeline wants one actionable report per pass, not the first
    failure). *)
 
-module RSet = Liveness.RSet
+module RSet = Set.Make (struct
+  type t = Ir.rclass * int
+
+  let compare = compare
+end)
 
 (* [None] stands for "all registers defined" (top), the starting value of
    the must-analysis on not-yet-visited blocks. *)

@@ -9,9 +9,9 @@ module Liveness = Epic_mir.Liveness
 let run_func (f : Ir.func) =
   let changed = ref true in
   let rounds = ref 0 in
-  (* Each round needs a fresh liveness analysis, which dominates on large
-     unrolled functions; a handful of rounds removes all but pathological
-     dead chains, and leftovers are only a code-size cost. *)
+  (* Each round needs a fresh liveness analysis (one dense pass over the
+     function); a handful of rounds removes all but pathological dead
+     chains, and leftovers are only a code-size cost. *)
   while !changed && !rounds < 6 do
     incr rounds;
     changed := false;
@@ -23,7 +23,7 @@ let run_func (f : Ir.func) =
               let dead =
                 (not (Ir.has_side_effect i.Ir.kind))
                 && List.for_all
-                     (fun d -> not (Liveness.RSet.mem d after))
+                     (fun d -> not (Liveness.mem live d after))
                      (Ir.defs_of_inst i)
                 && Ir.defs_of_inst i <> []
               in

@@ -47,7 +47,7 @@ let redirect_entries (f : Ir.func) body header pre =
       end)
     f.Ir.f_blocks
 
-let hoist_loop (f : Ir.func) (l : Dom.loop) =
+let hoist_loop (f : Ir.func) (live : Liveness.t Lazy.t) (l : Dom.loop) =
   let body_blocks =
     List.filter (fun (b : Ir.block) -> Dom.LSet.mem b.Ir.b_id l.Dom.body) f.Ir.f_blocks
   in
@@ -65,19 +65,19 @@ let hoist_loop (f : Ir.func) (l : Dom.loop) =
             (Ir.defs_of_inst i))
         b.Ir.b_insts)
     body_blocks;
-  let live = Liveness.analyse f in
-  let header_live_in = Liveness.live_in live l.Dom.header in
-  (* Labels outside the loop reachable from inside (exit targets). *)
-  let exit_live =
-    List.fold_left
-      (fun acc (b : Ir.block) ->
-        List.fold_left
-          (fun acc s ->
-            if Dom.LSet.mem s l.Dom.body then acc
-            else Liveness.RSet.union acc (Liveness.live_in live s))
-          acc
-          (Ir.successors b.Ir.b_term))
-      Liveness.RSet.empty body_blocks
+  (* Live into the header or into a label outside the loop reachable from
+     inside (an exit target).  Only a candidate forces the round's
+     liveness, so it is computed before any hoist mutates [f]. *)
+  let live_across d =
+    let live = Lazy.force live in
+    let live_into l = Liveness.mem live (Ir.Cgpr, d) (Liveness.live_in live l) in
+    live_into l.Dom.header
+    || List.exists
+         (fun (b : Ir.block) ->
+           List.exists
+             (fun s -> (not (Dom.LSet.mem s l.Dom.body)) && live_into s)
+             (Ir.successors b.Ir.b_term))
+         body_blocks
   in
   let operand_invariant (o : Ir.operand) =
     match o with
@@ -92,9 +92,7 @@ let hoist_loop (f : Ir.func) (l : Dom.loop) =
          (Ir.uses_of_inst i)
     && (match Ir.defs_of_inst i with
         | [ (Ir.Cgpr, d) ] ->
-          Hashtbl.find_opt def_count d = Some 1
-          && (not (Liveness.RSet.mem (Ir.Cgpr, d) header_live_in))
-          && not (Liveness.RSet.mem (Ir.Cgpr, d) exit_live)
+          Hashtbl.find_opt def_count d = Some 1 && not (live_across d)
         | _ -> false)
     &&
     (* operand_invariant is already covered by the uses check; keep the
@@ -144,7 +142,11 @@ let run_func (f : Ir.func) =
   (* Hoisting rewires the CFG, so loop/dominator/liveness facts go stale
      after every successful hoist: harvest one loop per round and
      re-analyse.  Innermost (smallest) loops first, so values migrate
-     outward one level per round. *)
+     outward one level per round.  A [hoist_loop] that hoists nothing
+     mutates nothing, so every loop a round tries shares the round's one
+     dominator tree and one liveness, computed only if some loop has a
+     candidate.  The 16-round cap, not a fixed point, ends the largest
+     functions (AES's [main] is still hoisting at round 16). *)
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 16 do
@@ -156,7 +158,8 @@ let run_func (f : Ir.func) =
         (fun a b -> compare (Dom.LSet.cardinal a.Dom.body) (Dom.LSet.cardinal b.Dom.body))
         (Dom.natural_loops doms f)
     in
-    changed := List.exists (fun l -> hoist_loop f l) loops
+    let live = lazy (Liveness.analyse f) in
+    changed := List.exists (fun l -> hoist_loop f live l) loops
   done
 
 let run (p : Ir.program) =

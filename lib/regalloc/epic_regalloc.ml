@@ -49,7 +49,7 @@ let build_intervals (f : Ir.func) =
   List.iter
     (fun (b : Ir.block) ->
       let bstart = !pos in
-      Liveness.RSet.iter
+      Liveness.iter live
         (fun (cls, r) -> if cls = Ir.Cgpr then touch r bstart)
         (Liveness.live_in live b.Ir.b_id);
       List.iter
@@ -63,7 +63,7 @@ let build_intervals (f : Ir.func) =
       List.iter
         (fun (cls, r) -> if cls = Ir.Cgpr then touch r !pos)
         (Ir.uses_of_term b.Ir.b_term);
-      Liveness.RSet.iter
+      Liveness.iter live
         (fun (cls, r) -> if cls = Ir.Cgpr then touch r !pos)
         (Liveness.live_out live b.Ir.b_id))
     f.Ir.f_blocks;

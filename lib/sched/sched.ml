@@ -35,36 +35,64 @@ let add_stats a b =
     st_insts = a.st_insts + b.st_insts;
     st_bundles = a.st_bundles + b.st_bundles }
 
-(* Dependence graph edge: (pred index, min cycle distance). *)
+(* Dependence graph edges: edges.(j) = [(i, delay); ...] with i < j, one
+   edge per pair and reason, so a pair related by several reasons (say RAW
+   and memory order) has several edges.  Each instruction looks up the
+   earlier writers and readers of its registers and the earlier memory
+   operations and branches, so the cost is the number of edges, not the
+   number of pairs.  The order of each edge list is unspecified: the
+   scheduler reads edges only through counts, maxima and heights, and
+   orders ready instructions by (height, index). *)
 let build_deps (md : Mdes.t) (insts : A.inst array) =
   let n = Array.length insts in
   let approx = Array.map A.to_isa_approx insts in
-  let edges = Array.make n [] in  (* edges.(j) = [(i, delay); ...] with i < j *)
+  let edges = Array.make n [] in
   let add_edge i j delay = edges.(j) <- (i, delay) :: edges.(j) in
-  let lat i = Mdes.latency md approx.(i).Isa.op in
+  let lat = Array.map (fun a -> Mdes.latency md a.Isa.op) approx in
+  let key ((file : Isa.regfile), idx) =
+    (3 * idx) + (match file with Isa.R_gpr -> 0 | Isa.R_pred -> 1 | Isa.R_btr -> 2)
+  in
+  let writers = Hashtbl.create 64 and readers = Hashtbl.create 64 in
+  let earlier tbl r = Option.value ~default:[] (Hashtbl.find_opt tbl (key r)) in
+  let record tbl j r = Hashtbl.replace tbl (key r) (j :: earlier tbl r) in
+  (* One stamp array per register reason: [seen.(i) = j] once (i, j) has
+     its edge, however many registers the two share. *)
+  let raw = Array.make n (-1) and war = Array.make n (-1) and waw = Array.make n (-1) in
+  let once seen i j delay =
+    if seen.(i) <> j then begin
+      seen.(i) <- j;
+      add_edge i j delay
+    end
+  in
+  let mems = ref [] and stores = ref [] and branches = ref [] and non_branches = ref [] in
   for j = 0 to n - 1 do
+    let op = approx.(j).Isa.op in
     let jr = Isa.reads approx.(j) and jw = Isa.writes approx.(j) in
-    let j_mem = Isa.is_load approx.(j).Isa.op || Isa.is_store approx.(j).Isa.op in
-    let j_store = Isa.is_store approx.(j).Isa.op in
-    let j_branch = Isa.is_branch approx.(j).Isa.op || approx.(j).Isa.op = Isa.HALT in
-    for i = 0 to j - 1 do
-      let iw = Isa.writes approx.(i) and ir = Isa.reads approx.(i) in
-      let i_mem = Isa.is_load approx.(i).Isa.op || Isa.is_store approx.(i).Isa.op in
-      let i_store = Isa.is_store approx.(i).Isa.op in
-      let i_branch = Isa.is_branch approx.(i).Isa.op || approx.(i).Isa.op = Isa.HALT in
-      (* RAW *)
-      if List.exists (fun r -> List.mem r jr) iw then add_edge i j (lat i);
-      (* WAR: write after read, same cycle legal *)
-      if List.exists (fun r -> List.mem r ir) jw then add_edge i j 0;
-      (* WAW: the later instruction's write must land strictly later *)
-      if List.exists (fun r -> List.mem r iw) jw then
-        add_edge i j (max 1 (lat i - lat j + 1));
-      (* Memory ordering *)
-      if (i_store && j_mem) || (i_mem && j_store) then add_edge i j 1;
-      (* Control: branches stay in order and nothing moves past them *)
-      if i_branch then add_edge i j 1;
-      if j_branch && not i_branch then add_edge i j 0
-    done
+    let j_store = Isa.is_store op in
+    let j_mem = Isa.is_load op || j_store in
+    let j_branch = Isa.is_branch op || op = Isa.HALT in
+    (* RAW *)
+    List.iter (fun r -> List.iter (fun i -> once raw i j lat.(i)) (earlier writers r)) jr;
+    (* WAR: write after read, same cycle legal *)
+    List.iter (fun r -> List.iter (fun i -> once war i j 0) (earlier readers r)) jw;
+    (* WAW: the later instruction's write must land strictly later *)
+    List.iter
+      (fun r ->
+        List.iter
+          (fun i -> once waw i j (max 1 (lat.(i) - lat.(j) + 1)))
+          (earlier writers r))
+      jw;
+    (* Memory ordering: stores after every memory op, loads after stores *)
+    if j_store then List.iter (fun i -> add_edge i j 1) !mems
+    else if j_mem then List.iter (fun i -> add_edge i j 1) !stores;
+    (* Control: branches stay in order and nothing moves past them *)
+    List.iter (fun i -> add_edge i j 1) !branches;
+    if j_branch then List.iter (fun i -> add_edge i j 0) !non_branches;
+    List.iter (record readers j) jr;
+    List.iter (record writers j) jw;
+    if j_mem then mems := j :: !mems;
+    if j_store then stores := j :: !stores;
+    if j_branch then branches := j :: !branches else non_branches := j :: !non_branches
   done;
   edges
 
@@ -83,15 +111,10 @@ let heights insts edges =
 
 let unit_usage op = Isa.unit_of op
 
-(* Schedule one block's instruction list into cycle-indexed bundles:
-   index = issue cycle, empty cycles left in place.  This is the
-   stall-free form the schedule-contract checker (Epic_difftest) replays
-   against the mdes; [schedule_block] below compresses it for emission
-   (safe under the interlock: bundles are never merged, so within-bundle
-   semantics are unchanged and the scoreboard re-inserts the latency
-   cycles). *)
-let schedule_block_cycles (md : Mdes.t) (insts : A.inst list) : A.inst list array =
-  let insts = Array.of_list insts in
+(* Schedule one block's instructions, given their dependence edges in
+   [build_deps]'s shape, into cycle-indexed bundles: index = issue cycle,
+   empty cycles left in place. *)
+let schedule_with_deps (md : Mdes.t) (insts : A.inst array) edges : A.inst list array =
   let n = Array.length insts in
   if n = 0 then [||]
   else begin
@@ -119,7 +142,6 @@ let schedule_block_cycles (md : Mdes.t) (insts : A.inst list) : A.inst list arra
              ports exceed the budget)"
             Isa.pp_inst a)
       approx;
-    let edges = build_deps md insts in
     let height = heights insts edges in
     let cycle_of = Array.make n (-1) in
     let scheduled = ref 0 in
@@ -248,6 +270,16 @@ let schedule_block_cycles (md : Mdes.t) (insts : A.inst list) : A.inst list arra
        same-bundle memory and branch semantics sequential. *)
     Array.map (fun ks -> List.map (fun k -> insts.(k)) (List.sort compare ks)) bundles
   end
+
+(* [schedule_with_deps] over the block's own dependences.  This is the
+   stall-free form the schedule-contract checker (Epic_difftest) replays
+   against the mdes; [schedule_block] below compresses it for emission
+   (safe under the interlock: bundles are never merged, so within-bundle
+   semantics are unchanged and the scoreboard re-inserts the latency
+   cycles). *)
+let schedule_block_cycles (md : Mdes.t) (insts : A.inst list) : A.inst list array =
+  let insts = Array.of_list insts in
+  schedule_with_deps md insts (build_deps md insts)
 
 (* Schedule one block's instruction list into bundles. *)
 let schedule_block (md : Mdes.t) (insts : A.inst list) : A.inst list list =

@@ -8,6 +8,7 @@ let () =
       ("mir", Test_mir.suite);
       ("workloads", Test_workloads.suite);
       ("opt", Test_opt.suite);
+      ("analyses", Test_analyses.suite);
       ("pipeline", Test_pipeline.suite);
       ("mdes", Test_mdes.suite);
       ("area", Test_area.suite);

@@ -72,12 +72,12 @@ let test_liveness_loop () =
   let live = Liveness.analyse f in
   (* At the loop head, the accumulator, the counter and x are all live. *)
   let head_in = Liveness.live_in live 1 in
-  Alcotest.(check bool) "x live" true (Liveness.RSet.mem (Ir.Cgpr, 0) head_in);
-  Alcotest.(check bool) "n live" true (Liveness.RSet.mem (Ir.Cgpr, 1) head_in);
-  Alcotest.(check bool) "s live" true (Liveness.RSet.mem (Ir.Cgpr, 2) head_in);
+  Alcotest.(check bool) "x live" true (Liveness.mem live (Ir.Cgpr, 0) head_in);
+  Alcotest.(check bool) "n live" true (Liveness.mem live (Ir.Cgpr, 1) head_in);
+  Alcotest.(check bool) "s live" true (Liveness.mem live (Ir.Cgpr, 2) head_in);
   (* After the exit block nothing is live. *)
   Alcotest.(check int) "exit out empty" 0
-    (Liveness.RSet.cardinal (Liveness.live_out live 3))
+    (List.length (Liveness.elements live (Liveness.live_out live 3)))
 
 let test_liveness_dead_def () =
   let b = Ir.Builder.create ~name:"g" ~params:[] in
@@ -89,7 +89,7 @@ let test_liveness_dead_def () =
   let f = Ir.Builder.func b in
   let live = Liveness.analyse f in
   Alcotest.(check int) "nothing live in" 0
-    (Liveness.RSet.cardinal (Liveness.live_in live l))
+    (List.length (Liveness.elements live (Liveness.live_in live l)))
 
 let test_memmap_layout () =
   let p =
