@@ -1,7 +1,7 @@
 # Convenience targets; everything is driven by dune underneath.
 
-.PHONY: all build test check bench perf gate baseline fuzz serve-smoke \
-	chaos-smoke explore-smoke clean
+.PHONY: all build test check bench perf gate baseline fuzz fault-smoke \
+	serve-smoke chaos-smoke explore-smoke clean
 
 all: build
 
@@ -15,8 +15,8 @@ test:
 # golden flow (profile the SHA-256 example and validate the emitted
 # Chrome trace with the profiler's own JSON parser via the test suite),
 # then the fuzz smoke campaign, whose MIR oracle and schedule-contract
-# checker guard the compiler and the list scheduler, and the service
-# smokes.
+# checker guard the compiler and the list scheduler, the fault-campaign
+# jobs-invariance smoke, and the service smokes.
 check:
 	dune build
 	dune runtest
@@ -24,6 +24,7 @@ check:
 	  -o _build/check_trace.json
 	dune exec bench/main.exe -- inject-faults --quick
 	$(MAKE) fuzz
+	$(MAKE) fault-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) explore-smoke
@@ -51,6 +52,19 @@ gate:
 # --jobs value.
 fuzz:
 	dune exec bin/epicfuzz.exe -- --seed 0 --cases 1000 --jobs 2
+
+# Fault-campaign determinism: one seeded campaign, with its per-fault log
+# and the tightest (1x) watchdog, must print byte-identical stdout at
+# --jobs 1 and --jobs 4, which cut the cycle-sorted faults into
+# different chunks (as CI does).
+fault-smoke:
+	dune build bin/epicfault.exe
+	dune exec bin/epicfault.exe -- examples/sha256.c --runs 32 --seed 7 \
+	  --faults --fuel-factor 1 --jobs 1 > _build/fault_smoke_j1.txt
+	dune exec bin/epicfault.exe -- examples/sha256.c --runs 32 --seed 7 \
+	  --faults --fuel-factor 1 --jobs 4 > _build/fault_smoke_j4.txt
+	cmp _build/fault_smoke_j1.txt _build/fault_smoke_j4.txt
+	@echo "fault-smoke: OK"
 
 # epicd smoke: spawn the daemon binary in pipe mode for each of two
 # passes of the mixed scenario over a shared artifact cache.  epicload

@@ -170,8 +170,8 @@ let trap_exit_code (t : Epic.Sim.trap) =
 (* Campaign convention shared by the campaign tools (epicfault,
    epic_explore, epicd, epicload): stdout stays byte-identical across
    --jobs values; wall time and cache statistics go to stderr. *)
-let campaign ~label ~jobs ?caches ~tasks f =
-  fst (Epic.Exec.run_campaign ~label ~jobs ?caches ~tasks f)
+let campaign ~label ~jobs ?caches ?notes ~tasks f =
+  fst (Epic.Exec.run_campaign ~label ~jobs ?caches ?notes ~tasks f)
 
 let handle_errors f =
   try f () with

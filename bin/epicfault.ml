@@ -32,9 +32,19 @@ let run input cfg no_pred seed runs targets fuel_factor json with_faults
       ~pipeline ()
   in
   Cli_common.report_pipeline pipeline a.Epic.Toolchain.ea_report;
+  (* Where the simulation went, on stderr with the wall time: injections
+     settled at the flip, at a re-convergence check, or run to the end,
+     and the cycles simulated after the flips. *)
+  let notes rp =
+    let e = rp.Epic.Fault.rp_effort in
+    [ ("settled-at-flip", e.Epic.Fault.ef_at_flip);
+      ("reconverged", e.Epic.Fault.ef_reconverged);
+      ("ran-to-end", e.Epic.Fault.ef_to_end);
+      ("cycles-after-flip", e.Epic.Fault.ef_cycles) ]
+  in
   let rp =
-    Cli_common.campaign ~label:"epicfault" ~jobs ~tasks:Epic.Fault.total_runs
-      (fun () ->
+    Cli_common.campaign ~label:"epicfault" ~jobs ~notes
+      ~tasks:Epic.Fault.total_runs (fun () ->
         Epic.Toolchain.fault_campaign ~seed ~runs ~targets ~fuel_factor ~jobs a)
   in
   if json then

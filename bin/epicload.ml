@@ -74,6 +74,22 @@ let extras =
       { P.ex_source = wl "dijkstra" [ ("nodes", 6) ]; ex_alus = [ 1; 2 ];
         ex_issues = [ 4 ] } ]
 
+(* The opening requests of every concurrent client: a one-bundle spin
+   loop that the watchdog stops after [s_fuel] cycles (a fuel trap the
+   request asked for is an ok, cacheable result), then a stats request,
+   which makes the daemon finish the spin before it reads on.  So on a
+   cold daemon the spins are the only work queued: one is evaluated for
+   a few hundred milliseconds, far longer than the clients' start skew
+   after the barrier, and the others find it in flight and join it.  The
+   dedup gate no longer depends on how the rest of the stream happens to
+   interleave.  The spin's slowness comes from the fuel alone. *)
+let dedup_opener =
+  [ P.Simulate
+      { P.s_config = Epic.Config.default;
+        s_asm = "_start:\n{ PBRR b0, @spin }\nspin:\n{ BRU #0 }\n";
+        s_fuel = Some 15_000_000; s_mem_bytes = 64 };
+    P.Stats ]
+
 (* Interleave a stats barrier every [n] requests: forces small batches,
    the bursty-arrival shape. *)
 let burstify n ops =
@@ -344,7 +360,8 @@ let run_chaos ~cache_dir ~epicd_bin ~seed ~report_file ~jobs =
 (* Concurrent clients: N threads replay the same scenario against one
    socket daemon.  A start barrier makes the identical request streams
    actually overlap, which is what exercises the daemon's cross-client
-   in-flight deduplication rather than its disk cache. *)
+   in-flight deduplication rather than its disk cache; [dedup_opener]
+   makes the overlap certain. *)
 
 let run_clients ~path ~clients lines =
   let mu = Mutex.create () in
@@ -400,7 +417,10 @@ let run scenario passes clients cache_dir epicd_bin connect slo_p95
       ~jobs
   end
   else begin
-  let ops = scenario_ops scenario @ [ P.Stats ] in
+  let ops =
+    (if clients > 1 then dedup_opener else [])
+    @ scenario_ops scenario @ [ P.Stats ]
+  in
   let reqs =
     List.mapi
       (fun i op ->

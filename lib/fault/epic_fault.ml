@@ -88,61 +88,126 @@ let classify ~golden_ret ~golden_mem (r : Sim.result) =
     if r.Sim.ret = golden_ret && Bytes.equal r.Sim.mem golden_mem then O_masked
     else O_sdc
 
+(* How an injected run ended: at the flip (the flip changed nothing the
+   program can observe, or never fired), at a re-convergence check, or
+   at HALT, a trap or the watchdog. *)
+type settle = At_flip | Reconverged | To_end
+
+(* The injected run is compared with the fault-free one [first_check]
+   cycles after the flip, then at doubling distances up to [horizon];
+   past the horizon it runs to its end.  Most masked flips settle within
+   a few hundred cycles, and each check costs a memory compare. *)
+let first_check = 64
+let horizon = 1 lsl 12
+
+(* The simulator states one sequence of injections works in, allocated
+   once and reused by blit: a cursor on the fault-free run, the injected
+   run forked from it, and a lookahead copy of the cursor that the
+   injected run is compared with.  Without a lookahead ([look] = None)
+   every injection runs to its end, and [inj] is the cursor itself.  The
+   encode table is per lane because [Lazy] is not safe to force from
+   several domains. *)
+type lane = {
+  cursor : Sim.state;
+  inj : Sim.state;
+  look : Sim.state option;
+  table : Enc.table Lazy.t;
+}
+
+let lane ~settle ~pre (cfg : Config.t) ~(image : A.image) ~mem ~entry =
+  let state mem = Sim.start ~pre cfg ~image ~mem ~entry () in
+  let cursor = state (Bytes.copy mem) in
+  let scratch () = state (Bytes.create (Bytes.length mem)) in
+  { cursor;
+    inj = (if settle then scratch () else cursor);
+    look = (if settle then Some (scratch ()) else None);
+    table = lazy (Enc.make_table cfg) }
+
+(* Inject [fault] into the run the lane's cursor is on.  The cursor only
+   moves forward, so a lane's faults must come in cycle order.  The flip
+   fires at the first iteration top whose cycle is >= [f_cycle], as a
+   tamper hook called at every top would fire it.  With a lookahead, a
+   run whose state re-converges with the cursor's is masked: that is
+   only sound when the cursor is the golden run and [fuel] covers it,
+   which [campaign] guarantees.  Returns the outcome, how the run
+   settled, and the cycles the injected run simulated after the flip. *)
+let run_fault lane (cfg : Config.t) ~(image : A.image) ~fuel ~golden_ret
+    ~golden_mem fault =
+  let cur = lane.cursor in
+  Sim.advance ~fuel ~until:fault.f_cycle cur;
+  if Sim.finished cur then
+    (* The run ended before the flip could fire. *)
+    (classify ~golden_ret ~golden_mem (Sim.result cur), At_flip, 0)
+  else begin
+    let inj = lane.inj in
+    if inj != cur then Sim.blit ~src:cur ~dst:inj;
+    let c0 = inj.Sim.s_cycle in
+    let i = fault.f_index and mask = 1 lsl fault.f_bit in
+    (match fault.f_target with
+     | F_gpr -> inj.Sim.s_gprs.(i) <- inj.Sim.s_gprs.(i) lxor mask
+     | F_pred -> inj.Sim.s_preds.(i) <- not inj.Sim.s_preds.(i)
+     | F_btr -> inj.Sim.s_btrs.(i) <- inj.Sim.s_btrs.(i) lxor mask
+     | F_mem ->
+       let b = Char.code (Bytes.get inj.Sim.s_mem i) in
+       Bytes.set inj.Sim.s_mem i (Char.chr (b lxor (1 lsl (fault.f_bit land 7))))
+     | F_inst ->
+       (* Corrupt one word of the bundle about to be fetched, for that
+          one fetch: encode the clean instruction, flip the bit, decode
+          the junk back (decode is total, so any pattern yields an
+          instruction — possibly the ILLEGAL marker the simulator traps
+          on).  At a pc outside the code the fetch traps first. *)
+       let pc = inj.Sim.s_pc in
+       if pc >= 0 && pc < Sim.Predecode.n_bundles inj.Sim.s_pre then begin
+         let t = Lazy.force lane.table in
+         let w = image.A.im_issue_width in
+         let slot = i mod w in
+         let word = Enc.encode t cfg image.A.im_insts.((pc * w) + slot) in
+         let word = Int64.logxor word (Int64.shift_left 1L fault.f_bit) in
+         Sim.step_corrupted ~fuel inj ~slot (Enc.decode t cfg word)
+       end);
+    let settled =
+      match lane.look with
+      | None -> None
+      | Some _ when fault.f_target <> F_inst && Sim.same_future inj cur ->
+        Some At_flip
+      | Some look ->
+        Sim.blit ~src:cur ~dst:look;
+        let rec check k =
+          if k > horizon then None
+          else begin
+            Sim.advance ~fuel ~until:(c0 + k) look;
+            Sim.advance ~fuel ~until:(c0 + k) inj;
+            if Sim.finished inj || Sim.finished look then None
+            else if Sim.same_future inj look then Some Reconverged
+            else check (2 * k)
+          end
+        in
+        check first_check
+    in
+    match settled with
+    | Some s -> (O_masked, s, inj.Sim.s_cycle - c0)
+    | None ->
+      Sim.advance ~fuel ~until:max_int inj;
+      ( classify ~golden_ret ~golden_mem (Sim.result inj),
+        To_end,
+        inj.Sim.s_cycle - c0 )
+  end
+
 (* Run the program once with [fault] injected and classify the outcome
-   against the golden run.  The image and memory are copied, so the
-   caller's structures are never corrupted.  An instruction flip is
-   transient: the corrupted word lives for exactly one fetch and is
-   restored on the next cycle (an SEU on the fetch path, not a stuck-at
-   fault in instruction memory). *)
+   against the golden run.  The memory is copied and the image only
+   read, so the caller's structures are never corrupted.  An instruction
+   flip is transient: the corrupted word lives for exactly one fetch (an
+   SEU on the fetch path, not a stuck-at fault in instruction memory).
+   The run starts from cycle 0 and always runs to its end, so the
+   outcome holds whatever [golden_ret], [golden_mem] and [fuel] are. *)
 let inject ?pre (cfg : Config.t) ~(image : A.image) ~mem ~entry ~fuel
     ~golden_ret ~golden_mem (fault : fault) =
-  let image = copy_image image in
-  let mem = Bytes.copy mem in
-  let table = lazy (Enc.make_table cfg) in
-  let fired = ref false in
-  let transient = ref None in
-  let tamper (m : Sim.machine) =
-    (match !transient with
-     | Some (pos, orig) ->
-       m.Sim.m_insts.(pos) <- orig;
-       transient := None
-     | None -> ());
-    if (not !fired) && m.Sim.m_cycle >= fault.f_cycle then begin
-      fired := true;
-      match fault.f_target with
-      | F_gpr ->
-        m.Sim.m_gprs.(fault.f_index) <-
-          m.Sim.m_gprs.(fault.f_index) lxor (1 lsl fault.f_bit)
-      | F_pred ->
-        m.Sim.m_preds.(fault.f_index) <- not m.Sim.m_preds.(fault.f_index)
-      | F_btr ->
-        m.Sim.m_btrs.(fault.f_index) <-
-          m.Sim.m_btrs.(fault.f_index) lxor (1 lsl fault.f_bit)
-      | F_mem ->
-        let b = Char.code (Bytes.get m.Sim.m_mem fault.f_index) in
-        Bytes.set m.Sim.m_mem fault.f_index
-          (Char.chr (b lxor (1 lsl (fault.f_bit land 7))))
-      | F_inst ->
-        (* Corrupt one word of the bundle about to be fetched: encode the
-           clean instruction, flip the bit, decode the junk back (decode
-           is total, so any pattern yields an instruction — possibly the
-           ILLEGAL marker the simulator traps on). *)
-        let t = Lazy.force table in
-        let pos =
-          (m.Sim.m_pc * m.Sim.m_issue_width)
-          + (fault.f_index mod m.Sim.m_issue_width)
-        in
-        let word = Enc.encode t cfg m.Sim.m_insts.(pos) in
-        let word = Int64.logxor word (Int64.shift_left 1L fault.f_bit) in
-        transient := Some (pos, m.Sim.m_insts.(pos));
-        m.Sim.m_insts.(pos) <- Enc.decode t cfg word
-    end
+  let pre =
+    match pre with Some p -> p | None -> Sim.Predecode.of_image cfg image
   in
-  (* [copy_image] is shallow, so the slot records are physically those
-     the predecode was built from; the simulator's tamper-mode re-decode
-     contract covers the transient F_inst flips. *)
-  let r = Sim.run ~fuel ~tamper ?pre cfg ~image ~mem ~entry () in
-  classify ~golden_ret ~golden_mem r
+  let lane = lane ~settle:false ~pre cfg ~image ~mem ~entry in
+  let o, _, _ = run_fault lane cfg ~image ~fuel ~golden_ret ~golden_mem fault in
+  o
 
 (* ------------------------------------------------------------------ *)
 (* Campaign: per-structure AVF table.                                  *)
@@ -163,6 +228,13 @@ let row_avf r =
   let n = row_runs r in
   if n = 0 then 0.0 else float_of_int (n - r.r_masked) /. float_of_int n
 
+type effort = {
+  ef_at_flip : int;
+  ef_reconverged : int;
+  ef_to_end : int;
+  ef_cycles : int;
+}
+
 type report = {
   rp_seed : int;
   rp_runs : int;
@@ -171,6 +243,7 @@ type report = {
   rp_golden_cycles : int;
   rp_rows : row list;
   rp_faults : (fault * outcome) list;
+  rp_effort : effort;
 }
 
 let golden ?fuel ?pre (cfg : Config.t) ~image ~mem ~entry =
@@ -230,11 +303,7 @@ let campaign ?(seed = 1) ?(runs = 32) ?(targets = all_targets)
   let fuel = (fuel_factor * golden_cycles) + 64 in
   let rng = Prng.create ~seed () in
   (* Draw every fault site up front, in exactly the order the sequential
-     loop drew them (the PRNG stream never depends on outcomes), then fan
-     the independent injected runs out across domains.  Each run copies
-     the image and memory ([inject]); the golden state is shared
-     read-only.  Outcomes are keyed by draw index, so the report is
-     bit-identical whatever [jobs] is. *)
+     loop drew them (the PRNG stream never depends on outcomes). *)
   let n_targets = List.length targets in
   let faults =
     Array.make (n_targets * runs)
@@ -248,10 +317,41 @@ let campaign ?(seed = 1) ?(runs = 32) ?(targets = all_targets)
             ~mem_len:(Bytes.length mem) ~golden_cycles target
       done)
     targets;
-  let outcomes =
-    Epic_exec.Pool.run ~jobs (Array.length faults) (fun i ->
-        inject ~pre cfg ~image ~mem ~entry ~fuel ~golden_ret ~golden_mem
-          faults.(i))
+  (* Then sort them by cycle and cut the sorted list into contiguous
+     chunks, fanned out across domains.  Each chunk walks a golden cursor
+     forward through its faults and forks every injected run from it (on
+     its own memory); the image and predecode are shared read-only.  An
+     outcome is a pure function of its fault, and outcomes are keyed by
+     draw index, so the report is bit-identical whatever [jobs] is.  More
+     chunks than domains balance the load; each chunk's cursor starts at
+     cycle 0, so more chunks also cost more golden prefix. *)
+  let n = Array.length faults in
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b -> compare faults.(a).f_cycle faults.(b).f_cycle)
+    order;
+  let chunks = max 1 (min n (if jobs <= 1 then 1 else 4 * jobs)) in
+  let results =
+    Epic_exec.Pool.run ~jobs chunks (fun c ->
+        let lo = c * n / chunks and hi = (c + 1) * n / chunks in
+        let lane = lane ~settle:true ~pre cfg ~image ~mem ~entry in
+        Array.init (hi - lo) (fun j ->
+            run_fault lane cfg ~image ~fuel ~golden_ret ~golden_mem
+              faults.(order.(lo + j))))
+  in
+  let settled = Array.make n (O_masked, At_flip, 0) in
+  Array.iteri
+    (fun c rs ->
+      let lo = c * n / chunks in
+      Array.iteri (fun j r -> settled.(order.(lo + j)) <- r) rs)
+    results;
+  let outcomes = Array.map (fun (o, _, _) -> o) settled in
+  let count s = Array.fold_left (fun a (_, s', _) -> if s' = s then a + 1 else a) 0 settled in
+  let effort =
+    { ef_at_flip = count At_flip;
+      ef_reconverged = count Reconverged;
+      ef_to_end = count To_end;
+      ef_cycles = Array.fold_left (fun a (_, _, c) -> a + c) 0 settled }
   in
   let rows =
     List.mapi
@@ -270,7 +370,8 @@ let campaign ?(seed = 1) ?(runs = 32) ?(targets = all_targets)
   in
   { rp_seed = seed; rp_runs = runs; rp_fuel = fuel; rp_golden_ret = golden_ret;
     rp_golden_cycles = golden_cycles; rp_rows = rows;
-    rp_faults = List.init (Array.length faults) (fun i -> (faults.(i), outcomes.(i))) }
+    rp_faults = List.init n (fun i -> (faults.(i), outcomes.(i)));
+    rp_effort = effort }
 
 let total_runs rp = List.fold_left (fun a r -> a + row_runs r) 0 rp.rp_rows
 

@@ -64,12 +64,15 @@ val inject :
   golden_mem:Bytes.t ->
   fault ->
   outcome
-(** Run the program once with the fault injected (on copies — the
-    caller's image and memory are never mutated) and classify the
-    outcome.  [fuel] is the watchdog bound; [golden_ret]/[golden_mem]
-    come from {!golden}; [pre] is a predecode of the {e clean} image —
-    the image copy is shallow, so it still matches, and the simulator's
-    tamper-mode re-decode covers the injected flips. *)
+(** Run the program once with the fault injected and classify the
+    outcome.  The run starts at cycle 0 in the simulator's fast loop
+    ({!Epic_sim.advance}), fires the flip at the first iteration top
+    whose cycle is [>= f_cycle], and runs to HALT, a trap or the
+    watchdog; the memory is copied and the image only read, so the
+    caller's structures are never mutated.  [fuel] is the watchdog
+    bound; [golden_ret]/[golden_mem] come from {!golden}; [pre] is a
+    predecode of [image].  Gives the outcome {!campaign} gives the same
+    fault. *)
 
 (** One line of the vulnerability table: outcome counts for one
     structure.  Counts always sum to the campaign's runs-per-target. *)
@@ -87,6 +90,23 @@ val row_runs : row -> int
 val row_avf : row -> float
 (** Architectural vulnerability factor: fraction of flips not masked. *)
 
+(** Where a campaign's simulation went.  Every injection is counted in
+    exactly one of the first three fields.  Each is a pure function of
+    the fault list, so it does not depend on [jobs]; it is not part of
+    the rendered report. *)
+type effort = {
+  ef_at_flip : int;
+      (** Settled at the flip: the flipped state already had the golden
+          run's future (say, a flip into a register the program never
+          reads), or the run ended before the flip could fire. *)
+  ef_reconverged : int;
+      (** Settled by a later re-convergence check. *)
+  ef_to_end : int;
+      (** Run to HALT, a trap or the watchdog, and classified there. *)
+  ef_cycles : int;
+      (** Cycles the injected runs simulated after their flips. *)
+}
+
 type report = {
   rp_seed : int;
   rp_runs : int;           (** Runs per target. *)
@@ -97,6 +117,7 @@ type report = {
   rp_faults : (fault * outcome) list;
       (** Every injected fault with its classification, in injection
           order — the machine-readable campaign log. *)
+  rp_effort : effort;
 }
 
 val campaign :
@@ -118,12 +139,20 @@ val campaign :
     under a watchdog of [fuel_factor] (default 4) times the golden cycle
     count plus slack; exhaustion classifies as {!O_timeout}.
 
-    [jobs] (default 1) fans the injected runs out across that many
-    domains ({!Epic_exec.Pool}): every fault site is drawn from the PRNG
-    up front in sequential order, the golden run is computed once and
-    shared read-only, and each injected run works on private copies of
-    the image and memory — so the report is {e bit-identical} for every
-    [jobs] value.
+    Injected runs start from a golden checkpoint rather than cycle 0:
+    the faults are sorted by cycle, and a cursor on the golden run (in
+    the simulator's fast loop) is walked forward to each one and forked
+    ({!Epic_sim.blit}).  An injected run whose state re-converges with
+    the golden run's ({!Epic_sim.same_future}, checked right after the
+    flip and then 64, 128, ... 4096 cycles later) is masked and stops
+    there; the rest run to their end.  Outcomes equal {!inject}'s.
+
+    [jobs] (default 1) fans the sorted faults out across that many
+    domains ({!Epic_exec.Pool}) in contiguous chunks, each with its own
+    cursor and buffers: every fault site is drawn from the PRNG up front
+    in sequential order, the golden run is computed once, and an
+    outcome depends only on its fault — so the report is
+    {e bit-identical} for every [jobs] value.
     @raise Epic_diag.Error on a zero seed, non-positive [runs] or
     [fuel_factor], empty memory, or a trapping golden run. *)
 

@@ -96,7 +96,8 @@ type result = {
 }
 
 (* Mutable view of the whole architectural state, handed to a [tamper]
-   hook once per cycle — the fault-injection surface.  The arrays and the
+   hook once per cycle — a per-cycle injection surface (fault campaigns
+   use resumable states instead; see [advance]).  The arrays and the
    byte buffer are the simulator's own (mutations take effect
    immediately); [m_insts] is the image's instruction stream, indexed
    [bundle * issue_width + slot]. *)
@@ -156,11 +157,154 @@ let string_of_stall_cause = function
   | S_branch -> "branch"
 
 
+(* ---- resumable machine state --------------------------------------
+
+   Everything a run carries from one cycle to the next: the pc and the
+   cycle, the halted/ret/trap outcome, the three register files with the
+   cycle each register's latest value becomes readable, the statistics
+   and the data memory.  [advance] runs the fast loop on a state and
+   stops at an iteration top, so a run can be paused, copied ([blit]) and
+   resumed — fault campaigns fast-forward a golden cursor to each
+   injection point and fork the injected run from it.  [s_cfg] and
+   [s_pre] are fixed at [start]; the register arrays are sized by
+   [s_cfg], which the fast loop's unchecked indexing relies on. *)
+
+type state = {
+  s_cfg : Config.t;
+  s_pre : Predecode.t;
+  mutable s_pc : int;
+  mutable s_cycle : int;
+  mutable s_halted : bool;
+  mutable s_ret : int;
+  mutable s_trap : trap option;
+  s_gprs : int array;
+  s_preds : bool array;
+  s_btrs : int array;
+  s_gpr_ready : int array;
+  s_pred_ready : int array;
+  s_btr_ready : int array;
+  s_stats : stats;
+  s_mem : Bytes.t;
+}
+
+(* The predecode a run over [image] uses: [pre] checked against the
+   image and the configuration, or a fresh one. *)
+let checked_pre ~tampered (cfg : Config.t) (image : A.image) pre =
+  let w = image.A.im_issue_width in
+  if w <> cfg.Config.issue_width then
+    fail "sim/issue-width"
+      ~ctx:
+        [ ("image", string_of_int w);
+          ("config", string_of_int cfg.Config.issue_width) ]
+      "image was assembled for issue width %d, configuration has %d" w
+      cfg.Config.issue_width;
+  let insts = image.A.im_insts in
+  match pre with
+  | None -> Predecode.of_image cfg image
+  | Some p ->
+    if p.Predecode.p_w <> w then
+      fail "sim/predecode-mismatch"
+        "predecode was built for issue width %d, image has %d"
+        p.Predecode.p_w w;
+    if not (Predecode.same_config p cfg) then
+      fail "sim/predecode-mismatch"
+        "predecode was built under a different configuration";
+    if not tampered then begin
+      if not (Predecode.matches_insts p insts) then
+        fail "sim/predecode-mismatch"
+          "predecode does not match this image's instruction stream"
+    end
+    else if
+      (* Tampered runs legitimately diverge from the predecoded stream
+         mid-run (touched bundles are re-decoded), but the shapes must
+         agree. *)
+      Array.length p.Predecode.p_insts <> Array.length insts
+    then
+      fail "sim/predecode-mismatch"
+        "predecode was built for a different image size";
+    p
+
+let make_state (cfg : Config.t) pre mem entry =
+  let preds = Array.make cfg.Config.n_preds false in
+  preds.(0) <- true;
+  { s_cfg = cfg; s_pre = pre; s_pc = entry; s_cycle = 0; s_halted = false;
+    s_ret = 0; s_trap = None;
+    s_gprs = Array.make cfg.Config.n_gprs 0;
+    s_preds = preds;
+    s_btrs = Array.make cfg.Config.n_btrs 0;
+    s_gpr_ready = Array.make cfg.Config.n_gprs 0;
+    s_pred_ready = Array.make cfg.Config.n_preds 0;
+    s_btr_ready = Array.make cfg.Config.n_btrs 0;
+    s_stats = mk_stats ();
+    s_mem = mem }
+
+let start ?pre cfg ~image ~mem ?(entry = 0) () =
+  make_state cfg (checked_pre ~tampered:false cfg image pre) mem entry
+
+let finished st = st.s_halted || st.s_trap <> None
+
+let result st =
+  { ret = st.s_ret; stats = st.s_stats; mem = st.s_mem; gprs = st.s_gprs;
+    trap = st.s_trap }
+
+let blit ~src ~dst =
+  if src.s_pre != dst.s_pre || Bytes.length src.s_mem <> Bytes.length dst.s_mem
+  then invalid_arg "Epic_sim.blit: states of different runs";
+  dst.s_pc <- src.s_pc;
+  dst.s_cycle <- src.s_cycle;
+  dst.s_halted <- src.s_halted;
+  dst.s_ret <- src.s_ret;
+  dst.s_trap <- src.s_trap;
+  let copy a b = Array.blit a 0 b 0 (Array.length a) in
+  copy src.s_gprs dst.s_gprs;
+  copy src.s_preds dst.s_preds;
+  copy src.s_btrs dst.s_btrs;
+  copy src.s_gpr_ready dst.s_gpr_ready;
+  copy src.s_pred_ready dst.s_pred_ready;
+  copy src.s_btr_ready dst.s_btr_ready;
+  let a = src.s_stats and b = dst.s_stats in
+  b.cycles <- a.cycles; b.bundles <- a.bundles; b.ops <- a.ops;
+  b.nops <- a.nops; b.squashed <- a.squashed;
+  b.operand_stalls <- a.operand_stalls; b.port_stalls <- a.port_stalls;
+  b.branch_bubbles <- a.branch_bubbles; b.mem_reads <- a.mem_reads;
+  b.mem_writes <- a.mem_writes; b.alu_ops <- a.alu_ops;
+  b.lsu_ops <- a.lsu_ops; b.cmpu_ops <- a.cmpu_ops; b.bru_ops <- a.bru_ops;
+  Bytes.blit src.s_mem 0 dst.s_mem 0 (Bytes.length src.s_mem)
+
+(* Exact re-convergence.  The future of a state at an iteration top
+   depends only on its pc and cycle, the values of the registers the
+   image can read, those registers' ready times where they can still
+   stall or forward (a ready time below the current cycle does neither,
+   and only grows more so), and memory.  An unread register is
+   overwritten before anything observes it. *)
+let same_future a b =
+  let pre = a.s_pre in
+  if b.s_pre != pre then invalid_arg "Epic_sim.same_future: states of different runs";
+  let now = a.s_cycle in
+  let regs live va vb ra rb eq =
+    let ok = ref true and j = ref 0 in
+    while !ok && !j < Array.length live do
+      let r = Array.unsafe_get live !j in
+      let ta = ra.(r) and tb = rb.(r) in
+      ok := eq va.(r) vb.(r) && (ta = tb || (ta < now && tb < now));
+      incr j
+    done;
+    !ok
+  in
+  a.s_pc = b.s_pc && now = b.s_cycle
+  && (not (finished a)) && not (finished b)
+  && regs pre.Predecode.p_live_g a.s_gprs b.s_gprs a.s_gpr_ready b.s_gpr_ready
+       Int.equal
+  && regs pre.Predecode.p_live_p a.s_preds b.s_preds a.s_pred_ready
+       b.s_pred_ready Bool.equal
+  && regs pre.Predecode.p_live_b a.s_btrs b.s_btrs a.s_btr_ready b.s_btr_ready
+       Int.equal
+  && Bytes.equal a.s_mem b.s_mem
+
 (* ---- two-tier execution -------------------------------------------
 
-   [run] predecodes the image (or adopts a caller-supplied
-   {!Predecode.t}) and then selects one of two cycle loops over the
-   same resolved records:
+   [exec] runs a state over resolved bundle records in one of two cycle
+   loops:
 
    - the FAST loop, taken when no [sink]/[trace]/[tamper] hook is
      present: no option matching and no allocation per cycle — every
@@ -173,6 +317,11 @@ let string_of_stall_cause = function
      from (physical comparison per slot; untouched bundles pay one
      pointer compare per slot).
 
+   Both stop at HALT, at a trap, or at the first iteration top whose
+   cycle is >= [until].  The loop variables live in local refs, loaded
+   from the state on entry and written back on exit, so the per-cycle
+   code is that of a single uninterrupted run.
+
    Stats, final state and traps are bit-identical between the two loops;
    test/test_engine.ml and the differential fuzzer hold them equal. *)
 
@@ -181,56 +330,23 @@ let string_of_stall_cause = function
    --trace and handy when debugging schedules. *)
 let default_fuel = 500_000_000
 
-let run ?(fuel = default_fuel) ?trace ?sink ?tamper ?pre (cfg : Config.t)
-    ~(image : A.image) ~(mem : Bytes.t) ?(entry = 0) () =
-  let w = image.A.im_issue_width in
-  if w <> cfg.Config.issue_width then
-    fail "sim/issue-width"
-      ~ctx:
-        [ ("image", string_of_int w);
-          ("config", string_of_int cfg.Config.issue_width) ]
-      "image was assembled for issue width %d, configuration has %d" w
-      cfg.Config.issue_width;
-  let insts = image.A.im_insts in
-  let pre =
-    match pre with
-    | None -> Predecode.of_image cfg image
-    | Some p ->
-      if p.Predecode.p_w <> w then
-        fail "sim/predecode-mismatch"
-          "predecode was built for issue width %d, image has %d"
-          p.Predecode.p_w w;
-      if not (Predecode.same_config p cfg) then
-        fail "sim/predecode-mismatch"
-          "predecode was built under a different configuration";
-      (match tamper with
-       | None ->
-         if not (Predecode.matches_insts p insts) then
-           fail "sim/predecode-mismatch"
-             "predecode does not match this image's instruction stream"
-       | Some _ ->
-         (* Tampered runs legitimately diverge from the predecoded
-            stream mid-run (touched bundles are re-decoded below), but
-            the shapes must agree. *)
-         if Array.length p.Predecode.p_insts <> Array.length insts then
-           fail "sim/predecode-mismatch"
-             "predecode was built for a different image size");
-      p
-  in
-  let bundles = pre.Predecode.p_bundles in
+let exec ~fuel ~until ?trace ?sink ?tamper ~insts bundles ms =
+  let cfg = ms.s_cfg in
+  let pre = ms.s_pre in
+  let w = pre.Predecode.p_w in
   let n_bundles = Array.length bundles in
   let width = cfg.Config.width in
   let msk = Isa.Word.max_unsigned width in
   let m v = v land msk in
-  let gprs = Array.make cfg.Config.n_gprs 0 in
-  let preds = Array.make cfg.Config.n_preds false in
-  preds.(0) <- true;
-  let btrs = Array.make cfg.Config.n_btrs 0 in
+  let gprs = ms.s_gprs in
+  let preds = ms.s_preds in
+  let btrs = ms.s_btrs in
   (* Cycle at which each register's latest value becomes readable. *)
-  let gpr_ready = Array.make cfg.Config.n_gprs 0 in
-  let pred_ready = Array.make cfg.Config.n_preds 0 in
-  let btr_ready = Array.make cfg.Config.n_btrs 0 in
-  let st = mk_stats () in
+  let gpr_ready = ms.s_gpr_ready in
+  let pred_ready = ms.s_pred_ready in
+  let btr_ready = ms.s_btr_ready in
+  let st = ms.s_stats in
+  let mem = ms.s_mem in
   let custom name a b = Config.custom_eval cfg name a b in
   (* Inline ALU evaluation over canonical (already-masked) operands,
      dispatched on the predecoded sub-operation code — semantics
@@ -267,11 +383,11 @@ let run ?(fuel = default_fuel) ?trace ?sink ?tamper ?pre (cfg : Config.t)
   let budget = cfg.Config.rf_port_budget in
   let fwd = cfg.Config.forwarding in
   let bubbles = cfg.Config.pipeline_stages - 1 in
-  let halted = ref false in
-  let ret = ref 0 in
-  let pc = ref entry in
-  let now = ref 0 in
-  let trap_info = ref None in
+  let halted = ref ms.s_halted in
+  let ret = ref ms.s_ret in
+  let pc = ref ms.s_pc in
+  let now = ref ms.s_cycle in
+  let trap_info = ref ms.s_trap in
   (* Per-cycle scratch, hoisted so the fast loop never allocates. *)
   let vals1 = Array.make w 0 and vals2 = Array.make w 0 in
   let enabled = Array.make w false in
@@ -286,7 +402,7 @@ let run ?(fuel = default_fuel) ?trace ?sink ?tamper ?pre (cfg : Config.t)
      match trace, sink, tamper with
      | None, None, None ->
        (* ================= FAST LOOP ================================ *)
-       while not !halted do
+       while not !halted && !now < until do
          if !now > fuel then trap_ T_fuel "out of fuel after %d cycles" fuel;
          let pcv = !pc in
          if pcv < 0 || pcv >= n_bundles then
@@ -502,7 +618,7 @@ let run ?(fuel = default_fuel) ?trace ?sink ?tamper ?pre (cfg : Config.t)
            if !clean then bundles.(pcv)
            else Predecode.decode_bundle cfg insts pcv w
        in
-       while not !halted do
+       while not !halted && !now < until do
          if !now > fuel then trap_ T_fuel "out of fuel after %d cycles" fuel;
          if !pc < 0 || !pc >= n_bundles then
            trap_ T_bad_pc "PC %d outside code (cycle %d)" !pc st.cycles;
@@ -730,7 +846,47 @@ let run ?(fuel = default_fuel) ?trace ?sink ?tamper ?pre (cfg : Config.t)
      ret := gprs.(3);
      trap_info :=
        Some { tr_cause = cause; tr_pc = !pc; tr_cycle = st.cycles; tr_message = msg });
-  { ret = !ret; stats = st; mem; gprs; trap = !trap_info }
+  ms.s_pc <- !pc;
+  ms.s_cycle <- !now;
+  ms.s_halted <- !halted;
+  ms.s_ret <- !ret;
+  ms.s_trap <- !trap_info
+
+let advance ?(fuel = default_fuel) ~until st =
+  if not (finished st) then
+    exec ~fuel ~until ~insts:st.s_pre.Predecode.p_insts
+      st.s_pre.Predecode.p_bundles st
+
+let step_corrupted ?(fuel = default_fuel) st ~slot inst =
+  if not (finished st) then begin
+    let pre = st.s_pre in
+    let w = pre.Predecode.p_w in
+    if slot < 0 || slot >= w then invalid_arg "Epic_sim.step_corrupted: slot";
+    let bundles = pre.Predecode.p_bundles in
+    let pc = st.s_pc in
+    let bundles =
+      if pc < 0 || pc >= Array.length bundles then bundles
+      else begin
+        let b = Array.copy bundles in
+        b.(pc) <-
+          Predecode.decode_bundle ~subst:(slot, inst) st.s_cfg
+            pre.Predecode.p_insts pc w;
+        b
+      end
+    in
+    exec ~fuel ~until:(st.s_cycle + 1) ~insts:pre.Predecode.p_insts bundles st
+  end
+
+let run ?(fuel = default_fuel) ?trace ?sink ?tamper ?pre (cfg : Config.t)
+    ~(image : A.image) ~(mem : Bytes.t) ?(entry = 0) () =
+  let pre = checked_pre ~tampered:(tamper <> None) cfg image pre in
+  let st = make_state cfg pre mem entry in
+  (match trace, sink, tamper with
+   | None, None, None -> advance ~fuel ~until:max_int st
+   | _ ->
+     exec ~fuel ~until:max_int ?trace ?sink ?tamper ~insts:image.A.im_insts
+       pre.Predecode.p_bundles st);
+  result st
 
 let run_exn ?fuel ?trace ?sink ?tamper ?pre cfg ~image ~mem ?entry () =
   let r = run ?fuel ?trace ?sink ?tamper ?pre cfg ~image ~mem ?entry () in

@@ -28,11 +28,12 @@
     [image.im_insts] but never writes to it — the only code path that
     mutates the instruction stream is the caller's own [tamper] hook
     acting on the {!machine} view it is handed.  All simulation state
-    (register files, scoreboard, statistics) is allocated per call, and
-    the module has no global mutable state.  Consequently one config and
-    one image may be shared, without copying or locking, by concurrent
-    [run] calls on different domains — this is what the parallel campaign
-    engine does — provided each call gets its own [mem] buffer ([mem] is
+    (register files, scoreboard, statistics) is allocated per call — or
+    per {!state}, for resumable runs — and the module has no global
+    mutable state.  Consequently one config and one image may be shared,
+    without copying or locking, by concurrent [run] calls on different
+    domains — this is what the parallel campaign engine does — provided
+    each call (each {!state}) gets its own [mem] buffer ([mem] is
     caller-owned and IS mutated by stores) and any [tamper]/[sink]/[trace]
     callbacks touch only domain-local state. *)
 
@@ -98,7 +99,9 @@ type result = {
 
 (** Mutable view of the whole architectural state, handed to {!run}'s
     [tamper] hook once per cycle (after the fuel and PC checks, before
-    fetch) — the fault-injection surface of {!Epic_fault}.  The arrays
+    fetch) — a per-cycle injection surface.  {!Epic_fault} no longer
+    uses it (it forks resumable {!state}s instead); its from-zero
+    injector built on this hook is kept as a test reference.  The arrays
     and buffer are the simulator's own: mutations take effect
     immediately.  [m_insts] is the image's instruction stream, indexed
     [bundle * issue_width + slot]. *)
@@ -174,8 +177,9 @@ val string_of_stall_cause : stall_cause -> string
     a predecode built for a different instruction stream, issue width or
     configuration.  Runs with a [tamper] hook re-decode any bundle whose
     fetched slots are no longer the records the predecode was built from
-    (physical per-slot comparison), so fault injection still sees raw
-    instruction words. *)
+    (physical per-slot comparison), so a hook that rewrites instruction
+    words still sees them executed; {!step_corrupted} gives the fast loop
+    the same one-fetch view of a corrupted word. *)
 
 module Predecode : sig
   type t
@@ -222,6 +226,92 @@ val default_fuel : int
     daemon's fuel-based deadlines — can tell whether a cap they computed
     is below what the simulator would have used anyway. *)
 
+(** {1 Resumable runs}
+
+    A {!state} is a run paused at the top of its cycle loop: {!start}
+    makes one at cycle 0, {!advance} runs the fast loop on it until a
+    given cycle, HALT or a trap, and {!result} reads the outcome.  Any
+    sequence of [advance] calls with the same [fuel], ending with one to
+    [max_int], gives exactly {!run}'s result — [run] without hooks {e is}
+    [start], [advance ~until:max_int], [result].  Fault campaigns use
+    the rest: {!blit} forks a run from a golden cursor,
+    {!step_corrupted} executes one fetch of a corrupted instruction word,
+    and {!same_future} detects an injected run that has re-converged
+    with the golden one. *)
+
+type state = private {
+  s_cfg : Epic_config.t;
+  s_pre : Predecode.t;     (** The image being run. *)
+  mutable s_pc : int;      (** Bundle about to be fetched. *)
+  mutable s_cycle : int;   (** Current architectural cycle. *)
+  mutable s_halted : bool;
+  mutable s_ret : int;     (** Set at HALT or at a trap, as {!result.ret}. *)
+  mutable s_trap : trap option;
+  s_gprs : int array;
+  s_preds : bool array;
+  s_btrs : int array;
+  s_gpr_ready : int array;  (** Cycle each register's value becomes readable. *)
+  s_pred_ready : int array;
+  s_btr_ready : int array;
+  s_stats : stats;
+  s_mem : Bytes.t;          (** The caller's buffer, mutated by stores. *)
+}
+(** The register files and memory may be written in place (a bit flip
+    is [s_gprs.(r) <- v lxor mask]); everything else is the simulator's.
+    Register values must stay canonical [width]-bit unsigned ints. *)
+
+val start :
+  ?pre:Predecode.t ->
+  Epic_config.t ->
+  image:Epic_asm.Aunit.image ->
+  mem:Bytes.t ->
+  ?entry:int ->
+  unit ->
+  state
+(** A run of [image] at cycle 0 with pc [entry] (default 0), checked
+    and predecoded exactly as {!run} does.  [mem] becomes the state's
+    memory (not copied). *)
+
+val advance : ?fuel:int -> until:int -> state -> unit
+(** Run the fast loop until HALT, a trap, or the first iteration top
+    whose cycle is [>= until] (if the state is already there, nothing
+    runs).  A finished state is left as it is.  [fuel] is {!run}'s
+    watchdog (default {!default_fuel}): the cycle budget of the whole
+    run, not of this call. *)
+
+val step_corrupted : ?fuel:int -> state -> slot:int -> Epic_isa.inst -> unit
+(** Run exactly one iteration of the fast loop, fetching the current
+    bundle as if issue slot [slot] held [inst] — a transient fault on
+    the fetch path; later fetches see the clean image.  This is what a
+    [tamper] hook that rewrites the word and restores it on the next
+    cycle does.  If the pc is outside the image the iteration traps as
+    usual.
+    @raise Invalid_argument if [slot] is not an issue slot. *)
+
+val blit : src:state -> dst:state -> unit
+(** Copy every mutable part of [src] (registers, ready times, stats,
+    memory, pc, cycle, outcome) into [dst], without allocating.
+    @raise Invalid_argument unless both states were started on the same
+    predecode with equally sized memories. *)
+
+val same_future : state -> state -> bool
+(** [same_future a b]: both states are at the same pc and cycle,
+    neither has halted or trapped, they agree on memory and on every
+    register some bundle of the image reads (r3 included) — both on its
+    value and on its ready time, unless both ready times are already
+    below the current cycle.  Then both runs continue identically: same
+    traps, same HALT, same return value and final memory (the
+    statistics accumulated so far may differ).  The test is exact for
+    unchanged images; it ignores registers the image never reads.
+    @raise Invalid_argument unless both states run the same predecode. *)
+
+val finished : state -> bool
+(** Halted or trapped. *)
+
+val result : state -> result
+(** The run's outcome so far, sharing the state's memory, registers and
+    stats.  [ret] and [trap] are final only once {!finished}. *)
+
 val run :
   ?fuel:int ->
   ?trace:Format.formatter ->
@@ -244,7 +334,8 @@ val run :
     exactly this image under exactly this configuration (built fresh
     when absent — pass it to amortise decode across repeated runs);
     [entry] is the starting bundle index (default 0, where the toolchain
-    places [_start]).  Without [trace]/[sink]/[tamper] the cycle loop
+    places [_start]).  Without [trace]/[sink]/[tamper] the run is
+    [start], [advance ~until:max_int], [result]: the fast loop, which
     allocates nothing per cycle.  Architectural faults are returned in
     [result.trap]; only API misuse raises {!Sim_error}. *)
 

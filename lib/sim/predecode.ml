@@ -24,9 +24,13 @@
    mutable simulator state, so one predecode may be shared, without
    copying or locking, by concurrent runs on different domains — the
    same contract as the image itself (see epic_sim.mli).  Tampered runs
-   (fault injection mutates the instruction stream in place) detect
-   touched slots by physical comparison against [p_insts] and re-decode
-   just those bundles; see [Epic_sim.run]. *)
+   (a [tamper] hook may rewrite the instruction stream in place, as the
+   tests' from-zero reference injector does) detect touched slots by
+   physical comparison against [p_insts] and re-decode just those
+   bundles; see [Epic_sim.run].  Fault injection runs on the fast loop
+   instead: a flipped instruction word is one bundle re-decoded with
+   [decode_bundle ~subst] for exactly one fetch; see
+   [Epic_sim.step_corrupted]. *)
 
 module Isa = Epic_isa
 module Config = Epic_config
@@ -144,11 +148,19 @@ type pbundle = {
   b_p1_trap : string option;     (* first malformed branch-predicate operand *)
 }
 
+(* [p_live_*] are the registers some bundle of the image can read, per
+   file, ascending and in range: every source, guard, branch predicate
+   and branch-target operand of every slot, plus r3 (HALT returns it).
+   Two machine states at the same pc and cycle that agree on these and
+   on memory have the same future ([Epic_sim.same_future]). *)
 type t = {
   p_cfg : Config.t;            (* configuration the image was decoded under *)
   p_insts : Isa.inst array;    (* exactly the instruction stream decoded *)
   p_w : int;
   p_bundles : pbundle array;
+  p_live_g : int array;
+  p_live_p : int array;
+  p_live_b : int array;
 }
 
 (* Decode-stage validation, hoisted from the old per-cycle [check_inst]:
@@ -249,14 +261,21 @@ let decode_slot (cfg : Config.t) (i : Isa.inst) =
           | _ -> -1)
        | _ -> -1) }
 
-let decode_bundle (cfg : Config.t) (insts : Isa.inst array) pc w =
+(* [subst] = (slot, inst) decodes the bundle as if that slot held
+   [inst] instead of the image's word. *)
+let decode_bundle ?subst (cfg : Config.t) (insts : Isa.inst array) pc w =
   let base = pc * w in
-  let slots = Array.init w (fun k -> decode_slot cfg insts.(base + k)) in
+  let inst k =
+    match subst with
+    | Some (slot, i) when slot = k -> i
+    | _ -> insts.(base + k)
+  in
+  let slots = Array.init w (fun k -> decode_slot cfg (inst k)) in
   let ft = ref None and p1 = ref None in
   let rg = ref [] and rp = ref [] and rb = ref [] in
   let wg = ref 0 in
   for k = 0 to w - 1 do
-    let i = insts.(base + k) in
+    let i = inst k in
     if i.Isa.op <> Isa.NOP then begin
       (match !ft with
        | None -> ft := fetch_trap_of cfg pc k i
@@ -285,16 +304,46 @@ let decode_bundle (cfg : Config.t) (insts : Isa.inst array) pc w =
     b_fetch_trap = !ft;
     b_p1_trap = !p1 }
 
+let live_sets (cfg : Config.t) bundles =
+  let g = Array.make cfg.Config.n_gprs false in
+  let p = Array.make cfg.Config.n_preds false in
+  let b = Array.make cfg.Config.n_btrs false in
+  let mark a r = if r >= 0 && r < Array.length a then a.(r) <- true in
+  mark g 3;
+  Array.iter
+    (fun pb ->
+      Array.iter (mark g) pb.b_rg;
+      Array.iter (mark p) pb.b_rp;
+      Array.iter (mark b) pb.b_rb;
+      Array.iter
+        (fun x ->
+          mark g x.x_s1r;
+          mark g x.x_s2r;
+          mark p x.x_guard;
+          mark p x.x_bp;
+          mark b x.x_btr)
+        pb.b_slots)
+    bundles;
+  let indices a =
+    Array.of_list (List.filter (fun r -> a.(r)) (List.init (Array.length a) Fun.id))
+  in
+  (indices g, indices p, indices b)
+
 let of_image (cfg : Config.t) (image : A.image) =
   let w = image.A.im_issue_width in
   let insts = image.A.im_insts in
   (* Truncating division: a ragged tail short of a full bundle is
      unreachable, exactly as in the old fetch logic. *)
   let n = Array.length insts / w in
+  let bundles = Array.init n (fun pc -> decode_bundle cfg insts pc w) in
+  let live_g, live_p, live_b = live_sets cfg bundles in
   { p_cfg = cfg;
     p_insts = insts;
     p_w = w;
-    p_bundles = Array.init n (fun pc -> decode_bundle cfg insts pc w) }
+    p_bundles = bundles;
+    p_live_g = live_g;
+    p_live_p = live_p;
+    p_live_b = live_b }
 
 (* Is [t] a valid predecode of [insts]?  Physical equality per slot is
    the fast path (cache hits and golden-run image copies share the

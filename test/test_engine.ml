@@ -296,6 +296,145 @@ let prop_predecode_roundtrip =
       && Pre.n_bundles pre = 1
       && Pre.issue_width pre = 1)
 
+(* ---- resumable runs: pausing changes nothing ----------------------- *)
+
+module Prng = Epic.Workloads.Prng
+
+(* One [run], against the same run as [start], single steps, [advance]
+   to seeded pause points (in random order, so some are already behind)
+   and [advance] to the end.  Every step runs exactly one iteration (one
+   bundle issues); every pause stops at an iteration top at or past its
+   cycle; and at some pauses the run moves to a fresh state by [blit]. *)
+let check_split ?fuel ~seed label cfg ~image ~mem ~entry =
+  let whole = Sim.run ?fuel cfg ~image ~mem:(Bytes.copy mem) ~entry () in
+  let pre = Pre.of_image cfg image in
+  let state mem = Sim.start ~pre cfg ~image ~mem ~entry () in
+  let st = ref (state (Bytes.copy mem)) in
+  for _ = 1 to 40 do
+    let s = !st in
+    let bundles = s.Sim.s_stats.Sim.bundles in
+    Sim.advance ?fuel ~until:(s.Sim.s_cycle + 1) s;
+    if not (Sim.finished s) then
+      Alcotest.(check int) (label ^ ": one step, one bundle") (bundles + 1)
+        s.Sim.s_stats.Sim.bundles
+  done;
+  let rng = Prng.create ~seed () in
+  let span = whole.Sim.stats.Sim.cycles + 2 in
+  for _ = 1 to 12 do
+    let until = Prng.next rng mod span in
+    Sim.advance ?fuel ~until !st;
+    if not (Sim.finished !st) then
+      Alcotest.(check bool) (label ^ ": paused at or past the point") true
+        ((!st).Sim.s_cycle >= until);
+    if Prng.next rng mod 3 = 0 then begin
+      let copy = state (Bytes.create (Bytes.length mem)) in
+      Sim.blit ~src:!st ~dst:copy;
+      st := copy
+    end
+  done;
+  Sim.advance ?fuel ~until:max_int !st;
+  Alcotest.(check bool) (label ^ ": finished") true (Sim.finished !st);
+  check_same_result (label ^ " split") whole (Sim.result !st)
+
+let test_split_workloads () =
+  List.iter
+    (fun (bm : S.benchmark) ->
+      List.iter
+        (fun alus ->
+          let c = Config.with_alus alus in
+          let a = T.compile_epic ~cache c ~source:bm.S.bm_source () in
+          check_split ~seed:alus
+            (Printf.sprintf "%s/%d-alu" bm.S.bm_name alus)
+            c ~image:a.T.ea_image
+            ~mem:(Memmap.init_memory a.T.ea_layout a.T.ea_mir)
+            ~entry:(entry_of a.T.ea_image))
+        [ 1; 4 ])
+    (benchmarks ())
+
+let test_split_traps () =
+  let no_div = Config.validate_exn { cfg with Config.alu_omit = [ Isa.DIV ] } in
+  List.iteri
+    (fun k (label, c, fuel, text) ->
+      let image = image_of cfg text in
+      check_split ?fuel ~seed:(k + 1) label c ~image ~mem:(Bytes.make 64 '\000')
+        ~entry:(entry_of image))
+    [ ("bad pc", cfg, None, "_start:\n{ PBRR b0, #999 }\n{ BRU #0 }\n");
+      ("mem bounds", cfg, None,
+       "_start:\n{ MOV r4, #1000 }\n{ LDW r3, r4, #0 }\n{ HALT }\n");
+      ("fuel", cfg, Some 5_000, "_start:\n{ PBRR b0, #0 }\nloop:\n{ BRU #0 }\n");
+      ("tight fuel", cfg, Some 100, "_start:\n{ PBRR b0, #0 }\nloop:\n{ BRU #0 }\n");
+      ("illegal op", no_div, None, "_start:\n{ DIV r3, r4, r5 }\n{ HALT }\n");
+      ("unreached illegal", no_div, None,
+       "_start:\n{ MOV r3, #7 }\n{ HALT }\n{ DIV r5, r4, r4 }\n") ]
+
+(* [same_future] on forked states of one program.  Only the first run
+   executes the guarded MPY (the fork's guard is flipped, and the CMPP in
+   the same bundle rewrites it), so from bundle 2 on both hold r5 = 0 and
+   p1 = true, but r5 becomes readable at cycle 4 in the first run and was
+   readable since cycle 1 in the fork: not the same future until both
+   ready times are in the past, at bundle 5.  r7 is read only as a
+   second operand. *)
+let test_same_future () =
+  let image =
+    image_of cfg
+      "_start:\n{ MOV r5, #0 ; CMPP.EQ p1, p2, r0, #0 }\n\
+       { MPY r5, r5, #3 (p1) ; CMPP.EQ p1, p2, r0, #0 }\n\
+       { MOV r6, #1 }\n{ MOV r6, #2 }\n{ MOV r6, #3 }\n\
+       { ADD r3, r5, r7 }\n{ HALT }\n"
+  in
+  let pre = Pre.of_image cfg image in
+  let state () = Sim.start ~pre cfg ~image ~mem:(Bytes.make 64 '\000') () in
+  let a = state () and b = state () in
+  let same label want = Alcotest.(check bool) label want (Sim.same_future a b) in
+  Sim.advance ~until:1 a;
+  Sim.blit ~src:a ~dst:b;
+  same "a fork" true;
+  b.Sim.s_gprs.(40) <- 1;
+  same "a register no bundle reads" true;
+  b.Sim.s_gprs.(7) <- 1;
+  same "a second operand" false;
+  b.Sim.s_gprs.(7) <- 0;
+  Bytes.set b.Sim.s_mem 7 '\001';
+  same "memory" false;
+  Bytes.set b.Sim.s_mem 7 '\000';
+  b.Sim.s_preds.(1) <- false;
+  same "the MPY's guard" false;
+  List.iter
+    (fun (cycle, want) ->
+      Sim.advance ~until:cycle a;
+      Sim.advance ~until:cycle b;
+      Alcotest.(check (pair int int)) "in step" (a.Sim.s_pc, a.Sim.s_cycle)
+        (b.Sim.s_pc, b.Sim.s_cycle);
+      same (Printf.sprintf "at cycle %d" cycle) want)
+    [ (2, false); (3, false); (4, false); (5, true) ];
+  Sim.advance ~until:max_int a;
+  Sim.advance ~until:max_int b;
+  Alcotest.(check int) "same return" (Sim.result a).Sim.ret (Sim.result b).Sim.ret;
+  Alcotest.(check int) "same cycles" a.Sim.s_cycle b.Sim.s_cycle;
+  same "halted" false
+
+(* The differential fuzzer's generated programs: assembly cases in their
+   sampled envelopes, and compiled MIR programs over its config grid. *)
+let test_split_difftest () =
+  for n = 0 to 39 do
+    let rng = D.Rng.create (D.Rng.case_seed ~seed:29 ~index:n) in
+    let c, u = D.gen_asm_case rng in
+    let image, _ = A.assemble c u in
+    check_split ~fuel:200_000 ~seed:(n + 1) (Printf.sprintf "asm case %d" n) c
+      ~image ~mem:(Bytes.make D.asm_mem_bytes '\000') ~entry:0
+  done;
+  for n = 0 to 5 do
+    let rng = D.Rng.create (D.Rng.case_seed ~seed:23 ~index:n) in
+    let p = D.gen_mir_program rng in
+    List.iter
+      (fun c ->
+        let image, layout, entry, compiled, _ = D.compile_mir c ~scheduling:true p in
+        check_split ~fuel:2_000_000 ~seed:(n + 1)
+          (Printf.sprintf "mir case %d, %s" n (D.label_of_config c ~scheduling:true))
+          c ~image ~mem:(Memmap.init_memory layout compiled) ~entry)
+      (D.gen_mir_grid (D.Rng.create (n + 0x5bd1)))
+  done
+
 (* ---- seeded fuzz corpus against the refactored engine -------------- *)
 
 let test_fuzz_corpus () =
@@ -322,4 +461,12 @@ let suite =
       test_pre_mismatch_rejected;
     Alcotest.test_case "image digests key the cache" `Quick test_digest_keys;
     QCheck_alcotest.to_alcotest prop_predecode_roundtrip;
-    Alcotest.test_case "seeded fuzz corpus is clean" `Slow test_fuzz_corpus ]
+    Alcotest.test_case "seeded fuzz corpus is clean" `Slow test_fuzz_corpus;
+    Alcotest.test_case "split runs = one run on all workloads" `Quick
+      test_split_workloads;
+    Alcotest.test_case "split runs = one run on trapping programs" `Quick
+      test_split_traps;
+    Alcotest.test_case "split runs = one run on the difftest corpus" `Quick
+      test_split_difftest;
+    Alcotest.test_case "same_future: dead registers, ready times" `Quick
+      test_same_future ]

@@ -261,6 +261,185 @@ let test_toolchain_campaign () =
   let r' = T.fault_campaign ~seed:3 ~runs:2 a in
   Alcotest.(check bool) "reproducible" true (r.Fault.rp_faults = r'.Fault.rp_faults)
 
+(* ---- checkpointed injection against the from-zero reference -------- *)
+
+module Enc = Epic.Encoding
+
+(* How campaigns injected before they started from golden checkpoints:
+   every injection simulates from cycle 0 in the instrumented loop, and a
+   tamper hook fires the flip at the first iteration top whose cycle is
+   >= [f_cycle]; an instruction flip rewrites the word in a private copy
+   of the image, and the next top restores it.  The reference the
+   checkpointed engine must agree with on every fault. *)
+let ref_inject ?pre cfg ~(image : A.image) ~mem ~entry ~fuel ~golden_ret
+    ~golden_mem (fault : Fault.fault) =
+  let image = { image with A.im_insts = Array.copy image.A.im_insts } in
+  let mem = Bytes.copy mem in
+  let table = lazy (Enc.make_table cfg) in
+  let fired = ref false in
+  let transient = ref None in
+  let tamper (m : Sim.machine) =
+    (match !transient with
+     | Some (pos, orig) ->
+       m.Sim.m_insts.(pos) <- orig;
+       transient := None
+     | None -> ());
+    if (not !fired) && m.Sim.m_cycle >= fault.Fault.f_cycle then begin
+      fired := true;
+      let i = fault.Fault.f_index and bit = fault.Fault.f_bit in
+      match fault.Fault.f_target with
+      | Fault.F_gpr -> m.Sim.m_gprs.(i) <- m.Sim.m_gprs.(i) lxor (1 lsl bit)
+      | Fault.F_pred -> m.Sim.m_preds.(i) <- not m.Sim.m_preds.(i)
+      | Fault.F_btr -> m.Sim.m_btrs.(i) <- m.Sim.m_btrs.(i) lxor (1 lsl bit)
+      | Fault.F_mem ->
+        let b = Char.code (Bytes.get m.Sim.m_mem i) in
+        Bytes.set m.Sim.m_mem i (Char.chr (b lxor (1 lsl (bit land 7))))
+      | Fault.F_inst ->
+        let t = Lazy.force table in
+        let pos = (m.Sim.m_pc * m.Sim.m_issue_width) + (i mod m.Sim.m_issue_width) in
+        let word = Enc.encode t cfg m.Sim.m_insts.(pos) in
+        let word = Int64.logxor word (Int64.shift_left 1L bit) in
+        transient := Some (pos, m.Sim.m_insts.(pos));
+        m.Sim.m_insts.(pos) <- Enc.decode t cfg word
+    end
+  in
+  let r = Sim.run ~fuel ~tamper ?pre cfg ~image ~mem ~entry () in
+  match r.Sim.trap with
+  | Some t when t.Sim.tr_cause = Sim.T_fuel -> Fault.O_timeout
+  | Some t -> Fault.O_trap t.Sim.tr_cause
+  | None ->
+    if r.Sim.ret = golden_ret && Bytes.equal r.Sim.mem golden_mem then Fault.O_masked
+    else Fault.O_sdc
+
+(* The corpus at [--small] sizes under three machines: the default, a
+   one-ALU three-stage pipeline, and issue width 2. *)
+let grid_configs =
+  [ Config.default;
+    Config.validate_exn { Config.default with Config.n_alus = 1; pipeline_stages = 3 };
+    Config.validate_exn { Config.default with Config.issue_width = 2 } ]
+
+let grid_arts =
+  lazy
+    (let cache = T.Compile_cache.create () in
+     List.concat_map
+       (fun (name, source) ->
+         List.map
+           (fun c -> (name, T.compile_epic ~cache c ~source ()))
+           grid_configs)
+       (Test_analyses.corpus ()))
+
+let grid_campaign ?(runs = 4) ~seed ~fuel_factor ~jobs (a : T.epic_artifacts) =
+  let image = a.T.ea_image in
+  let entry = Option.value ~default:0 (List.assoc_opt "_start" image.A.im_symbols) in
+  let mem = Epic.Memmap.init_memory a.T.ea_layout a.T.ea_mir in
+  ( Fault.campaign ~seed ~runs ~fuel_factor ~jobs ~pre:a.T.ea_pre a.T.ea_config
+      ~image ~mem ~entry (),
+    mem,
+    entry )
+
+let json rp = Epic.Profile.Json.to_string (Fault.report_to_json ~faults:true rp)
+
+(* Byte-identity pin: the MD5 of the grid's reports, recorded before
+   injections started from golden checkpoints, which had to leave every
+   outcome unchanged.  A change that alters what an outcome means on
+   purpose (say, a new definition of the program's output) re-records
+   it: run [dune exec test/test_main.exe -- test fault], take the digest
+   the failure prints, and say in CHANGES.md why the reports changed. *)
+let pinned_reports = "8d55d4107b69b70001fea090b76968a7"
+
+let test_report_pin () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun (seed, fuel_factor) ->
+          let rp, _, _ = grid_campaign ~runs:8 ~seed ~fuel_factor ~jobs:2 a in
+          Buffer.add_string buf name;
+          Buffer.add_string buf (json rp))
+        [ (1, 4); (5, 1) ])
+    (Lazy.force grid_arts);
+  Alcotest.(check string) "report digest" pinned_reports
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let outcome_class = function
+  | Fault.O_trap c -> Sim.string_of_trap_cause c
+  | o -> Fault.string_of_outcome o
+
+(* Over the grid at two (seed, watchdog) points, 1x and 4x the golden
+   run: the campaign at 1 and 2 domains reports exactly what a campaign
+   of reference injections reports, and [Fault.inject] agrees with the
+   reference on every fault.  Seed 5 at 1x reaches every outcome class
+   (seed 2 at 4x adds bad-pc traps); the test checks that each class
+   still appears.  The grid points run on two domains. *)
+let test_reference_equivalence () =
+  let points =
+    List.concat_map
+      (fun art -> List.map (fun p -> (art, p)) [ (5, 1); (2, 4) ])
+      (Lazy.force grid_arts)
+  in
+  let run_point ((name, (a : T.epic_artifacts)), (seed, fuel_factor)) =
+    let cfg = a.T.ea_config and image = a.T.ea_image and pre = a.T.ea_pre in
+    let label =
+      Printf.sprintf "%s issue %d alus %d, seed %d, fuel x%d" name
+        cfg.Config.issue_width cfg.Config.n_alus seed fuel_factor
+    in
+    let rp, mem, entry = grid_campaign ~seed ~fuel_factor ~jobs:1 a in
+    let rp2, _, _ = grid_campaign ~seed ~fuel_factor ~jobs:2 a in
+    let g = Fault.golden ~pre cfg ~image ~mem ~entry in
+    let golden_ret = g.Sim.ret and golden_mem = g.Sim.mem in
+    let fuel = rp.Fault.rp_fuel in
+    let replay f =
+      ( ref_inject ~pre cfg ~image ~mem ~entry ~fuel ~golden_ret ~golden_mem f,
+        Fault.inject ~pre cfg ~image ~mem ~entry ~fuel ~golden_ret ~golden_mem f )
+    in
+    (label, g.Sim.stats.Sim.cycles, fuel_factor, rp, rp2,
+     List.map (fun (f, _) -> replay f) rp.Fault.rp_faults)
+  in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (label, golden_cycles, fuel_factor, rp, rp2, replays) ->
+      Alcotest.(check int) (label ^ ": fuel")
+        ((fuel_factor * golden_cycles) + 64) rp.Fault.rp_fuel;
+      let faults =
+        List.map2
+          (fun (f, o) (r, i) ->
+            if i <> r || o <> r then
+              Alcotest.failf
+                "%s: %a is %s in the reference, %s by inject, %s in the campaign"
+                label Fault.pp_fault f (Fault.string_of_outcome r)
+                (Fault.string_of_outcome i) (Fault.string_of_outcome o);
+            Hashtbl.replace seen (outcome_class r) ();
+            (f, r))
+          rp.Fault.rp_faults replays
+      in
+      let rows =
+        List.map
+          (fun row ->
+            let n o =
+              List.length
+                (List.filter
+                   (fun ((f : Fault.fault), o') ->
+                     f.Fault.f_target = row.Fault.r_target && o o')
+                   faults)
+            in
+            { row with
+              Fault.r_masked = n (( = ) Fault.O_masked);
+              r_sdc = n (( = ) Fault.O_sdc);
+              r_trap = n (function Fault.O_trap _ -> true | _ -> false);
+              r_timeout = n (( = ) Fault.O_timeout) })
+          rp.Fault.rp_rows
+      in
+      let reference = json { rp with Fault.rp_rows = rows; rp_faults = faults } in
+      Alcotest.(check string) (label ^ ": 1 domain") reference (json rp);
+      Alcotest.(check string) (label ^ ": 2 domains") reference (json rp2);
+      Alcotest.(check bool) (label ^ ": effort") true
+        (rp.Fault.rp_effort = rp2.Fault.rp_effort))
+    (Epic.Exec.Pool.map ~jobs:2 run_point points);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) ("some fault is " ^ c) true (Hashtbl.mem seen c))
+    [ "masked"; "sdc"; "timeout"; "bad-pc"; "mem-bounds"; "illegal-op" ]
+
 let suite =
   [
     Alcotest.test_case "trap: bad pc" `Quick test_trap_bad_pc;
@@ -286,4 +465,7 @@ let suite =
       test_campaign_rejects_bad_arguments;
     Alcotest.test_case "report json" `Quick test_report_json;
     Alcotest.test_case "toolchain campaign" `Quick test_toolchain_campaign;
+    Alcotest.test_case "campaign report byte-identity pin" `Quick test_report_pin;
+    Alcotest.test_case "checkpointed injection = from-zero reference" `Quick
+      test_reference_equivalence;
   ]
